@@ -58,6 +58,10 @@ TOLERANCES = {
     "live_p2p_units_per_s_n4": 0.5,
     "live_p2p_units_per_s_n16": 0.5,
     "sim_uts_units_per_wall_s_n4": 0.4,
+    # fault-tolerant over clean live makespan (lower is better): the
+    # ceiling catches a write-ahead spool that commits on every reactor
+    # iteration again (that cost a 4-6x ratio)
+    "live_ft_overhead_ratio": 0.5,
     # fleet-scale engine rates (BENCH_scale.json baseline): whole-run
     # wall clocks of 2000-process simulations — long single runs, not
     # best-of-N microbenchmarks, so machine-load noise is large even
@@ -94,7 +98,14 @@ DEFAULT_TOLERANCE = 0.25
 #: correction divides instead of multiplies (a slower gate machine
 #: inflates latencies by the same factor it deflates rates).
 LOWER_IS_BETTER = {
+    "live_ft_overhead_ratio",
     "service_p99_latency_s",
+}
+
+#: Ratios of two timings taken on the same machine: machine speed cancels
+#: out, so the calibration correction does not apply.
+UNCALIBRATED = {
+    "live_ft_overhead_ratio",
 }
 
 #: A fresh rate this far *above* baseline prints a re-record hint.
@@ -142,7 +153,9 @@ def check(fresh: dict[str, float], baseline: dict[str, float],
             lines.append(f"{name:34s} {base:>12,.0f} {'-':>12s} "
                          f"{'-':>7s} {tol:>6.0%}  MISSING")
             continue
-        if lower_better:
+        if name in UNCALIBRATED:
+            now = fresh[name]
+        elif lower_better:
             now = fresh[name] / calib_scale if calib_scale else fresh[name]
         else:
             now = fresh[name] * calib_scale

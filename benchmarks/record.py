@@ -24,7 +24,8 @@ channel's overhead. Writes ``BENCH_faults.json``.
 
 The ``live`` mode times the :mod:`repro.runtime` multi-process backend —
 end-to-end makespan and steal throughput of a small UTS tree at 2 and 4
-workers, next to the simulator's wall-clock rate on the same workload —
+workers, next to the simulator's wall-clock rate on the same workload,
+plus the fault-tolerant over clean makespan ratio on ``bin_small`` —
 and writes ``BENCH_runtime.json``. The regression gate compares a fresh
 ``live`` recording against the committed one with generous bands
 (``check_regression.py --baseline benchmarks/BENCH_runtime.json``):
@@ -74,6 +75,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import tempfile
 import time
 
@@ -381,7 +383,11 @@ def live_backend(quick=False, out=None):
       scaling with the fleet.  The recording itself asserts the headline
       comparison — p2p at n=16 must beat the star plateau at n=4 — so a
       data plane that quietly falls back to relaying cannot re-record a
-      green baseline.
+      green baseline;
+    * **fault-tolerance overhead** (``live_ft_overhead_ratio``, lower is
+      better): median makespan with ``fault_tolerance`` over median
+      makespan without it, UTS ``bin_small`` on n=2 p2p workers — what
+      the write-ahead spool and the reliable channel cost.
     """
     from repro.experiments.runner import RunConfig, run_instrumented
     from repro.experiments.specs import UTSSpec
@@ -427,6 +433,24 @@ def live_backend(quick=False, out=None):
         f"p2p n=16 steal throughput {p2p_steals[16]}/s does not clear "
         f"the n=4 star plateau {steals[4]}/s")
 
+    def makespan(seed, fault_tolerance):
+        live = run_live(LiveConfig(
+            protocol="BTD", n=2, app={"kind": "uts", "preset": "bin_small"},
+            seed=seed, p2p=True, fault_tolerance=fault_tolerance,
+            timeout_s=240.0))
+        nodes = PRESETS["bin_small"].nodes
+        assert live.result.total_units == nodes, live.result.total_units
+        assert not fault_tolerance or live.conserved == nodes, live.conserved
+        return live.result.makespan
+
+    # clean and fault-tolerant runs alternate seed by seed, so both
+    # medians sample the same machine state
+    pairs = [(makespan(42 + rep, False), makespan(42 + rep, True))
+             for rep in range(FT_RATIO_RUNS)]
+    after["live_ft_overhead_ratio"] = round(
+        statistics.median(ft for _, ft in pairs)
+        / statistics.median(clean for clean, _ in pairs), 3)
+
     def sim_run():
         cfg = RunConfig(protocol="BTD", n=4, quantum=64, seed=42)
         return run_instrumented(cfg, spec.build())[0]
@@ -457,6 +481,9 @@ def live_backend(quick=False, out=None):
         print(f"{name:32s} {value:>12,}")
     print(f"wrote {out}")
 
+
+#: Seeds per side of the fault-tolerance overhead cell (both modes).
+FT_RATIO_RUNS = 5
 
 #: bin_tiny's sequential node count — every live bench run must still
 #: explore exactly this many nodes or the recording is invalid.

@@ -75,8 +75,8 @@ def to_wire(obj: Any) -> Any:
     if isinstance(obj, UTSWork):
         states, depths = obj.peek()
         return {"__uts": {"p": list(dataclasses.astuple(obj.params)),
-                          "s": [int(x) for x in states],
-                          "d": [int(x) for x in depths]}}
+                          "s": states.tolist(),
+                          "d": depths.tolist()}}
     if isinstance(obj, BnBWork):
         return {"__bnb": {"n": obj.n_jobs,
                           "i": [[int(a), int(b)] for a, b in obj.as_tuples()]}}

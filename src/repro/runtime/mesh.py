@@ -144,11 +144,12 @@ class PeerMesh:
     def send(self, frame: dict) -> None:
         """Queue one ``msg`` frame toward its destination worker.
 
-        Queue only — no bytes leave here.  The worker's reactor flushes
-        (:meth:`flush_all`) strictly *after* committing the write-ahead
-        spool, and that ordering is the whole conservation argument: a
-        frame that escaped before the commit describing it would let a
-        SIGKILL strand (or duplicate) the work it carries."""
+        Queue only — no bytes leave here.  A queued frame bumps
+        :attr:`frames_queued`, which tells the worker's reactor to commit
+        the write-ahead spool before it flushes (:meth:`flush_all`), and
+        that ordering is the whole conservation argument: a frame that
+        escaped before the commit describing it would let a SIGKILL
+        strand (or duplicate) the work it carries."""
         dst = frame["dst"]
         if self._cut(dst):
             self.part_drops += 1
@@ -179,6 +180,12 @@ class PeerMesh:
         if self.on_conn is not None:
             self.on_conn(conn)
         return conn
+
+    @property
+    def frames_queued(self) -> int:
+        """Frames queued on any peer connection so far.  Connections come
+        and go, but this count only grows."""
+        return sum(self.link_frames.values())
 
     # -- inbound -------------------------------------------------------------
 

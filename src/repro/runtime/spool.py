@@ -16,13 +16,20 @@ atomically replaced JSON snapshot of exactly the state the oracle needs —
 * any ``crash_dropped`` pieces.
 
 **Write-ahead ordering** makes the snapshot consistent: the worker's
-reactor commits the spool *before* flushing the socket bytes produced in
-the same iteration.  A transfer only reaches the wire after it is spooled
-as pending; an RACK only reaches the sender after the merged piece is
-spooled in the pool.  Whatever instant ``kill -9`` lands, the last spool
-on disk plus the receivers' logs partition the work with no gap and no
-overlap — :func:`conserved_units_live` just adds the places up, mirroring
-``conserved_units`` in the fault-tolerance tests.
+reactor commits the spool *before* flushing any socket bytes that carry
+frames queued since the previous commit.  A transfer only reaches the
+wire after it is spooled as pending; an RACK only reaches the sender
+after the merged piece is spooled in the pool.  Iterations that queue
+nothing (idle ticks, compute-only quanta) skip the commit: the last
+snapshot still explains every byte that has left, and computing only
+moves units from the pool to the processed count, which the older
+snapshot accounts for just as exactly.  Whatever instant ``kill -9``
+lands, the last spool on disk plus the receivers' logs partition the
+work with no gap and no overlap — :func:`conserved_units_live` just adds
+the places up, mirroring ``conserved_units`` in the fault-tolerance tests.
+
+The guarantee is process-crash consistency only: the snapshot is never
+``fsync``-ed, so a host crash can lose or tear the last one.
 """
 
 from __future__ import annotations
@@ -45,9 +52,12 @@ def spool_path(run_dir: str, pid: int) -> str:
 def write_spool(path: str, doc: dict) -> None:
     """Atomically replace the spool (tmp + rename: a reader — or the
     post-mortem — sees the previous snapshot or this one, never a mix)."""
+    # one json.dumps call takes the C encoder; json.dump streams through
+    # the pure-Python one
+    text = json.dumps(doc, separators=(",", ":"))
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -60,23 +70,29 @@ def read_spool(path: str) -> Optional[dict]:
         return None
 
 
+def recovery_state(proc) -> dict:
+    """The receive log and ``crash_dropped`` pieces of a worker: the part
+    of its state the oracle reads from a spool and a final report alike."""
+    ch = proc._reliable
+    return {
+        "recv_log": ({str(src): sorted(seqs)
+                      for src, seqs in ch._seen.items()}
+                     if ch is not None else {}),
+        "crash_dropped": [to_wire(p) for p in proc.crash_dropped],
+    }
+
+
 def build_spool_doc(proc) -> dict:
     """Snapshot a worker's conservation-relevant state (see module doc)."""
     ch = proc._reliable
-    out_pending = []
-    recv_log: dict[str, list[int]] = {}
-    if ch is not None:
-        out_pending = [[xf.dst, xf.seq, xf.kind, to_wire(xf.payload)]
-                       for xf in ch._pending.values()]
-        recv_log = {str(src): sorted(seqs)
-                    for src, seqs in ch._seen.items()}
     return {
         "pid": proc.pid,
         "processed": proc.stats.work_units,
         "pool": to_wire(proc.work),
-        "out_pending": out_pending,
-        "recv_log": recv_log,
-        "crash_dropped": [to_wire(p) for p in proc.crash_dropped],
+        "out_pending": ([[xf.dst, xf.seq, xf.kind, to_wire(xf.payload)]
+                         for xf in ch._pending.values()]
+                        if ch is not None else []),
+        **recovery_state(proc),
     }
 
 
@@ -132,4 +148,4 @@ def conserved_units_live(app: Application, reports: dict[int, dict],
 
 
 __all__ = ["build_spool_doc", "conserved_units_live", "drain", "read_spool",
-           "spool_path", "write_spool"]
+           "recovery_state", "spool_path", "write_spool"]

@@ -43,6 +43,9 @@ class FramedConnection:
         self.outbuf = bytearray()
         self.eof = False
         self.closed = False
+        #: frames queued over the connection's life (the worker reactor
+        #: commits its spool only when this moved since the last commit)
+        self.frames_queued = 0
 
     # -- outbound ------------------------------------------------------------
 
@@ -50,6 +53,7 @@ class FramedConnection:
         """Queue one frame (bytes leave in :meth:`flush`)."""
         if not self.closed:
             self.outbuf += pack_frame(obj)
+            self.frames_queued += 1
 
     def flush(self) -> bool:
         """Push queued bytes; True once the buffer is empty."""

@@ -12,9 +12,11 @@ and then runs a selector reactor until the supervisor says ``shutdown``:
    detector, ``join`` announcements into the overlay graft;
 3. fire due timers (compute quanta, retransmits, termination waves ride
    here);
-4. **fault mode:** commit the write-ahead spool — *before* step 5, so no
-   byte ever leaves this process without the state that explains it
-   already being on disk (see :mod:`repro.runtime.spool`);
+4. **fault mode:** if any frame was queued (on the supervisor connection
+   or a peer connection) since the last commit, commit the write-ahead
+   spool — *before* step 5, so no byte ever leaves this process without
+   the state that explains it already being on disk (see
+   :mod:`repro.runtime.spool`);
 5. flush the outbound buffers;
 6. once the protocol reports termination, send the ``done`` report (and
    keep answering late messages until ``shutdown`` arrives).
@@ -56,7 +58,7 @@ from ..obs.registry import MetricsRegistry
 from .codec import message_from_frame, stats_to_wire
 from .env import LiveEnv
 from .mesh import PeerMesh, open_peer_listener
-from .spool import build_spool_doc, spool_path, write_spool
+from .spool import build_spool_doc, recovery_state, spool_path, write_spool
 from .transport import FramedConnection, connect_endpoint
 
 #: Selector timeout when no timer is pending (keeps the watchdog and
@@ -233,20 +235,22 @@ def _run(cfg: dict) -> int:
         proc.tracer = tracer
 
     my_spool = spool_path(run_dir, pid) if (fault_mode and run_dir) else None
+    committed = -1   # frames_queued() as of the last spool commit
+
+    def frames_queued() -> int:
+        n = conn.frames_queued
+        return n + mesh.frames_queued if mesh is not None else n
 
     def commit_spool() -> None:
+        nonlocal committed
+        committed = frames_queued()
         if my_spool is not None:
             write_spool(my_spool, build_spool_doc(proc))
 
     def final_report(kind: str) -> dict:
         rep = {"t": kind, "pid": pid}
         if fault_mode:
-            ch = proc._reliable
-            rep["recv_log"] = ({str(s): sorted(q)
-                                for s, q in ch._seen.items()}
-                               if ch is not None else {})
-            from .codec import to_wire
-            rep["crash_dropped"] = [to_wire(p) for p in proc.crash_dropped]
+            rep.update(recovery_state(proc))
         return rep
 
     def results_report(kind: str) -> dict:
@@ -383,8 +387,11 @@ def _run(cfg: dict) -> int:
                 raise _Exit(0)
 
             # write-ahead: state hits the disk before the bytes it
-            # explains hit the wire
-            commit_spool()
+            # explains hit the wire.  Bytes left over from a partial
+            # flush were explained by an earlier commit, so only newly
+            # queued frames call for another one
+            if frames_queued() != committed:
+                commit_spool()
             conn.flush()
             if mesh is not None:
                 mesh.flush_all()

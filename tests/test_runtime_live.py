@@ -21,6 +21,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.runner import run_instrumented
 from repro.runtime.supervisor import LiveConfig, run_live
@@ -146,6 +147,23 @@ def test_sigkill_mid_run_conserves_every_unit(tmp_path):
     for pid in (0, 1, 3):
         assert pid in live.reports
         assert live.reports[pid]["stats"]["finish_time"] > 0.0
+
+
+@pytest.mark.parametrize("p2p", [False, True], ids=["star", "p2p"])
+@settings(max_examples=5, deadline=None)
+@given(victim=st.integers(min_value=1, max_value=3),
+       after_units=st.integers(min_value=1, max_value=400))
+def test_kill_point_property_conserves_every_unit(p2p, victim, after_units):
+    """A SIGKILL at a random durable-unit threshold, on any non-root
+    worker and either data plane, keeps the four-place identity exact:
+    the trigger and the oracle both read the spool, which is committed
+    before any newly queued frame leaves."""
+    live = run_live(LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=21,
+                               p2p=p2p, fault_tolerance=True, timeout_s=90.0,
+                               kills=({"pid": victim,
+                                       "after_units": after_units},)))
+    assert live.killed == (victim,)
+    assert live.conserved == TINY_NODES          # exact, not approximate
 
 
 def test_fault_mode_without_kills_is_exact():
@@ -328,7 +346,10 @@ def test_p2p_join_leave_and_kill_compose(tmp_path):
     """The full elastic-membership lifecycle in one run: a worker joins
     mid-run (grafted by the registry), another drains out gracefully, a
     third is SIGKILLed — and the conservation identity stays exact."""
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=23, p2p=True,
+    # bin_small: a fault-tolerant bin_tiny run can end before 0.07 s, and
+    # a join due after the run has ended is never spawned
+    small = {"kind": "uts", "preset": "bin_small"}
+    cfg = LiveConfig(protocol="BTD", n=4, app=small, seed=23, p2p=True,
                      fault_tolerance=True, timeout_s=90.0,
                      joins=({"pid": 4, "after_s": 0.07},),
                      leaves=({"pid": 2, "after_s": 0.04},),
@@ -338,7 +359,7 @@ def test_p2p_join_leave_and_kill_compose(tmp_path):
     assert live.joined == (4,)
     assert live.left == (2,)
     assert live.killed == (3,)
-    assert live.conserved == TINY_NODES
+    assert live.conserved == PRESETS["bin_small"].nodes
     # the leaver is a survivor: its stats flowed into the report and its
     # row is not marked crashed
     assert live.stats.per_process[2].crashes == 0
